@@ -60,7 +60,7 @@ from typing import List, Sequence, Tuple
 from repro.federation.network import NetworkModel
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
-from repro.runtime.scheduler import DEFAULT_CONCURRENCY
+from repro.runtime.multi import DEFAULT_CONCURRENCY
 
 __all__ = ["CostModel", "Decision", "EndpointStats", "Estimate"]
 

@@ -104,6 +104,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -163,8 +164,7 @@ from repro.runtime.control import (
     AimdSettings,
     WindowAdjustment,
 )
-from repro.runtime.multi import QueryScheduler
-from repro.runtime.scheduler import DEFAULT_CONCURRENCY, OverlapScheduler
+from repro.runtime.multi import DEFAULT_CONCURRENCY, QueryScheduler
 from repro.sparql.ast import AskQuery, FilterExpr, OrderCondition, SelectQuery
 from repro.sparql.batch import extend_bindings_batch
 from repro.sparql.bridge import ConjunctiveBranch, sparql_to_branches
@@ -247,6 +247,23 @@ class PreparedQuery:
     limit: Optional[int] = None
     offset: int = 0
     ask: bool = False
+
+    @property
+    def modified(self) -> bool:
+        """True when a solution modifier or ASK shapes the answer."""
+        return bool(
+            self.order or self.limit is not None or self.offset or self.ask
+        )
+
+
+class _Recording(NamedTuple):
+    """One recorded execution, before any runtime replay is read."""
+
+    stats: NetworkStats
+    decisions: List[Decision]
+    id_rows: Set[Tuple[Optional[int], ...]]
+    plans: Tuple[FedOp, ...]
+    unreachable: List[Unreachable]
 
 
 @dataclass
@@ -611,119 +628,108 @@ class FederatedExecutor:
             prepared = query
         else:
             prepared = self.prepare(query, nsm)
+        if strategy == "collect":
+            return self._result(strategy, self._collect(prepared, tracer))
+        # Runtime execution is the one-tenant case of the shared
+        # multi-tenant replay; serial strategies record nothing.
+        scheduler: Optional[QueryScheduler] = None
+        if strategy == PARALLEL:
+            scheduler = QueryScheduler(
+                concurrency=self.concurrency,
+                max_in_flight=self.max_in_flight,
+            )
+        recording = self._record(
+            prepared,
+            strategy,
+            scheduler.tenant(strategy) if scheduler is not None else None,
+            tracer=tracer,
+            analyze=analyze,
+        )
+        if scheduler is None:
+            return self._result(strategy, recording)
+        # Branch pipelines and fan-outs overlapped on the runtime; the
+        # replayed makespan is the execution's wall-clock-equivalent
+        # time (appended after any serial planning-time charges such as
+        # statistics refreshes).
+        recording.stats.elapsed_seconds += scheduler.makespan()
+        if tracer.enabled:
+            _emit_runtime_spans(tracer, scheduler)
+        return self._result(strategy, recording, scheduler.channel_stats())
+
+    def _begin_execution(self) -> Tuple[NetworkStats, Optional[FaultSession]]:
+        """Fresh statistics and fault session for one execution.
+
+        A fresh session per execution: every run — every strategy of a
+        run_all_strategies comparison, every tenant of every concurrent
+        round — sees the same fault schedule.
+        """
         stats = NetworkStats()
         self.catalog.begin_execution(stats)
-        decisions: List[Decision] = []
-        channels: Dict[str, ChannelStats] = {}
-        plans: Tuple[FedOp, ...] = ()
-        id_rows: Set[Tuple[Optional[int], ...]] = set()
-        # A fresh session per execution: every run (and every strategy
-        # of a run_all_strategies comparison) sees the same schedule.
-        session: Optional[FaultSession] = (
-            self.fault_model.session() if self.fault_model is not None
-            else None
-        )
-        unreachable: List[Unreachable] = []
-        modified = bool(
-            prepared.order
-            or prepared.limit is not None
-            or prepared.offset
-            or prepared.ask
-        )
-        if strategy == "collect":
-            union, unreachable = self._collect_union(stats, session, tracer)
-            if modified:
-                all_bindings: List[IDBinding] = []
-                for branch in prepared.branches:
-                    all_bindings.extend(
-                        self._evaluate_branch_local(union, branch)
-                    )
-                id_rows = self._modified_id_rows(all_bindings, prepared)
-            else:
-                for branch in prepared.branches:
-                    bindings = self._evaluate_branch_local(union, branch)
-                    id_rows |= project(bindings, prepared.head)
-        else:
-            scheduler: Optional[OverlapScheduler] = None
-            if strategy == PARALLEL:
-                scheduler = OverlapScheduler(
-                    concurrency=self.concurrency,
-                    max_in_flight=self.max_in_flight,
-                )
-            id_rows, plans, unreachable = self._record(
-                prepared,
-                strategy,
-                stats,
-                scheduler,
-                session,
-                decisions,
-                tracer=tracer,
-                analyze=analyze,
-            )
-            if scheduler is not None:
-                # Branch pipelines and fan-outs overlapped on the
-                # runtime; the replayed makespan is the execution's
-                # wall-clock-equivalent time (appended after any serial
-                # planning-time charges such as statistics refreshes).
-                stats.elapsed_seconds += scheduler.makespan()
-                channels = scheduler.channel_stats()
-                if tracer.enabled:
-                    _emit_runtime_spans(tracer, scheduler)
+        if self.fault_model is None:
+            return stats, None
+        return stats, self.fault_model.session()
+
+    def _result(
+        self,
+        strategy: str,
+        recording: _Recording,
+        channels: Optional[Dict[str, ChannelStats]] = None,
+    ) -> FederationResult:
+        """Decode ID rows and wrap one execution's outcome.
+
+        Shared by :meth:`_execute` and the per-tenant outcomes of
+        :meth:`execute_concurrent`; ``channels`` are the replay's
+        channel statistics (none for serial strategies), and dropped
+        contributions become the result's
+        :class:`~repro.federation.faults.PartialAnswer`.
+        """
         decode = self.dictionary.decode
         rows = {
             tuple(None if tid is None else decode(tid) for tid in row)
-            for row in id_rows
+            for row in recording.id_rows
         }
-        partial = PartialAnswer(tuple(unreachable)) if unreachable else None
+        unreachable = recording.unreachable
         return FederationResult(
             strategy,
             rows,
-            stats,
-            tuple(decisions),
-            channels,
-            plans,
-            partial=partial,
+            recording.stats,
+            tuple(recording.decisions),
+            channels or {},
+            recording.plans,
+            partial=PartialAnswer(tuple(unreachable)) if unreachable else None,
         )
 
     def _record(
         self,
         prepared: PreparedQuery,
         strategy: str,
-        stats: NetworkStats,
         scheduler,
-        session: Optional[FaultSession],
-        decisions: List[Decision],
         tracer=NULL_TRACER,
         analyze: bool = False,
         batch_size: Optional[int] = None,
-    ) -> Tuple[
-        Set[Tuple[Optional[int], ...]],
-        Tuple[FedOp, ...],
-        List[Unreachable],
-    ]:
+    ) -> _Recording:
         """Plan and interpret one prepared query against the peers.
 
-        The shared recording core of :meth:`_execute` (one query onto
-        its private :class:`OverlapScheduler`) and
-        :meth:`execute_concurrent` (N queries, each onto a tenant view
-        of one shared :class:`~repro.runtime.multi.QueryScheduler`).
-        Issues every simulated request against ``scheduler`` and
-        returns the ID-level answer rows, the executed plan roots and
-        the unreachable endpoints.  The *caller* owns makespan
-        finalisation: under multi-tenancy the replay may only run after
-        every tenant has recorded, so nothing here touches
-        ``scheduler.makespan()``.
+        The shared recording core of :meth:`_execute` and
+        :meth:`execute_concurrent`.  ``scheduler`` is ``None`` for
+        serial interpretation, or one tenant's
+        :class:`~repro.runtime.multi.TenantRecorder` of a
+        :class:`~repro.runtime.multi.QueryScheduler` — the only tenant
+        for a ``parallel`` :meth:`execute`, one of N for
+        :meth:`execute_concurrent`.  Issues every simulated request
+        against it and returns the execution's :class:`_Recording`:
+        statistics, cost decisions, ID-level answer rows, the executed
+        plan roots and the unreachable endpoints.  The *caller* owns
+        the replay: under multi-tenancy it may only run after every
+        tenant has recorded, so nothing here asks the scheduler for a
+        makespan.
 
         ``batch_size`` overrides the executor's bound-join batch size
         for this recording only — the adaptive concurrency
         controller's between-rounds re-planning hook.
         """
-        modified = bool(
-            prepared.order
-            or prepared.limit is not None
-            or prepared.offset
-            or prepared.ask
-        )
+        stats, session = self._begin_execution()
+        decisions: List[Decision] = []
         # The planning-time demand cap: an unordered LIMIT can never
         # emit more than offset+limit distinct rows, and ASK needs one.
         # ORDER BY drains fully (sorting is a pipeline breaker), so it
@@ -764,7 +770,7 @@ class FederatedExecutor:
                 prepared.limit,
                 self.dictionary,
             )
-        elif modified:
+        elif prepared.modified:
             root = SliceNode(
                 ProjectDedupe(union_node, prepared.head),
                 offset=0 if prepared.ask else prepared.offset,
@@ -774,7 +780,7 @@ class FederatedExecutor:
             root = ProjectDedupe(union_node, prepared.head)
         rows_out = interp.run(root)
         id_rows = project(rows_out.bindings, prepared.head)
-        return id_rows, (root,), ctx.unreachable
+        return _Recording(stats, decisions, id_rows, (root,), ctx.unreachable)
 
     def run_all_strategies(
         self,
@@ -870,7 +876,8 @@ class FederatedExecutor:
                 ``"fifo"`` or ``"wrr"`` (weighted round-robin across
                 tenants).
             weights: per-tenant weights for the ``"wrr"`` discipline
-                (default 1 each; ignored by FIFO).
+                (default 1 each; ignored by FIFO).  Every key must name
+                a tenant and every weight must be an integer >= 1.
             max_active: admission-control cap on concurrently active
                 queries (``None`` = all tenants start at once).
             max_in_flight: per-endpoint window override for this call
@@ -901,7 +908,8 @@ class FederatedExecutor:
 
         Raises:
             FederationError: on an empty tenant set, a duplicate or
-                empty tenant name, or a non-runtime strategy.
+                empty tenant name, a weight for an unknown tenant or
+                below 1, or a non-runtime strategy.
         """
         if strategy not in STRATEGIES or strategy == "collect":
             raise FederationError(
@@ -915,12 +923,27 @@ class FederatedExecutor:
             items = [(name, query) for name, query in queries]
         if not items:
             raise FederationError("execute_concurrent needs >= 1 tenant")
+        # Validate every name and weight before any query is prepared.
+        names: Set[str] = set()
         for name, _ in items:
             if not isinstance(name, str) or not name:
                 raise FederationError(
                     f"tenant names must be non-empty strings: {name!r}"
                 )
+            if name in names:
+                raise FederationError(f"duplicate tenant name: {name!r}")
+            names.add(name)
         weight_of = dict(weights or {})
+        for name, weight in weight_of.items():
+            if name not in names:
+                raise FederationError(
+                    f"weight given for unknown tenant: {name!r}"
+                )
+            if not isinstance(weight, int) or weight < 1:
+                raise FederationError(
+                    f"tenant {name!r} weight must be an integer >= 1: "
+                    f"{weight!r}"
+                )
         # Prepare each *distinct* query once — tenants submitting the
         # same text (or the same query object) share one PreparedQuery,
         # exactly like run_all_strategies shares across strategies.
@@ -979,7 +1002,6 @@ class FederatedExecutor:
         Answers must be byte-identical across rounds; anything else is
         a planning bug and raises.
         """
-        decode = self.dictionary.decode
         batch = self.batch_size
         rounds = 0
         best: Optional[ConcurrentResult] = None
@@ -997,60 +1019,30 @@ class FederatedExecutor:
                 max_active=max_active,
                 controller=controller,
             )
-            recorded = []
-            for name, prepared in tenants:
-                recorder = scheduler.tenant(name, weight_of.get(name, 1))
-                stats = NetworkStats()
-                self.catalog.begin_execution(stats)
-                # A fresh session per tenant per round: every round
-                # (and every tenant) sees the same fault schedule.
-                session: Optional[FaultSession] = (
-                    self.fault_model.session()
-                    if self.fault_model is not None
-                    else None
+            recorded = [
+                (
+                    name,
+                    self._record(
+                        prepared,
+                        strategy,
+                        scheduler.tenant(name, weight_of.get(name, 1)),
+                        batch_size=batch,
+                    ),
                 )
-                decisions: List[Decision] = []
-                id_rows, plans, unreachable = self._record(
-                    prepared,
-                    strategy,
-                    stats,
-                    recorder,
-                    session,
-                    decisions,
-                    batch_size=batch,
-                )
-                recorded.append(
-                    (name, stats, decisions, id_rows, plans, unreachable)
-                )
-            makespan = scheduler.run()
+                for name, prepared in tenants
+            ]
+            makespan = scheduler.makespan()
             outcomes: List[TenantOutcome] = []
-            for name, stats, decisions, id_rows, plans, unreachable in (
-                recorded
-            ):
+            for name, recording in recorded:
                 span = scheduler.tenant_makespan(name)
-                stats.elapsed_seconds += span
-                rows = {
-                    tuple(
-                        None if tid is None else decode(tid) for tid in row
-                    )
-                    for row in id_rows
-                }
-                partial = (
-                    PartialAnswer(tuple(unreachable))
-                    if unreachable
-                    else None
-                )
+                recording.stats.elapsed_seconds += span
                 outcomes.append(
                     TenantOutcome(
                         tenant=name,
-                        result=FederationResult(
+                        result=self._result(
                             strategy,
-                            rows,
-                            stats,
-                            tuple(decisions),
+                            recording,
                             scheduler.tenant_channel_stats(name),
-                            plans,
-                            partial=partial,
                         ),
                         makespan=span,
                         admission_wait=scheduler.admission_wait(name),
@@ -1366,19 +1358,15 @@ class FederatedExecutor:
 
     # -- centralised collect baseline -----------------------------------
 
-    def _collect_union(
-        self,
-        stats: NetworkStats,
-        session: Optional[FaultSession] = None,
-        tracer=NULL_TRACER,
-    ) -> Tuple[Graph, List[Unreachable]]:
-        """Dump every peer into one local graph (the collect baseline).
+    def _collect(self, prepared: PreparedQuery, tracer) -> _Recording:
+        """The collect baseline: dump every peer, evaluate locally.
 
         Dumps go through the same fault/recovery funnel as federated
         sub-queries; an unreachable peer's database is simply missing
         from the union, and the dropped dump is reported for the
         partial-answer flag.
         """
+        stats, session = self._begin_execution()
         union = Graph(name="collected", dictionary=self.dictionary)
         ctx = ExecContext(
             self.network,
@@ -1403,7 +1391,16 @@ class FederatedExecutor:
                 ctx.record_unreachable(exc.endpoint, "dump")
                 continue
             union.add_all(graph)
-        return union, ctx.unreachable
+        bindings = [
+            binding
+            for branch in prepared.branches
+            for binding in self._evaluate_branch_local(union, branch)
+        ]
+        if prepared.modified:
+            id_rows = self._modified_id_rows(bindings, prepared)
+        else:
+            id_rows = project(bindings, prepared.head)
+        return _Recording(stats, [], id_rows, (), ctx.unreachable)
 
     def _evaluate_branch_local(
         self, graph: Graph, branch: PreparedBranch
@@ -1534,7 +1531,7 @@ def _stats_registry(stats: NetworkStats) -> MetricsRegistry:
     return registry
 
 
-def _emit_runtime_spans(tracer, scheduler: OverlapScheduler) -> None:
+def _emit_runtime_spans(tracer, scheduler: QueryScheduler) -> None:
     """Virtual spans from the runtime's replayed request timeline.
 
     Serial interpretation spans requests as they charge the elapsed
@@ -1543,7 +1540,7 @@ def _emit_runtime_spans(tracer, scheduler: OverlapScheduler) -> None:
     parent span per endpoint channel covering its occupied window
     (first arrival to last completion), with one child span per request
     covering its replayed service interval, so the exported trace shows
-    exactly how the overlap scheduler's DAG replay nested the traffic.
+    exactly how the DAG replay nested the traffic.
     """
     by_endpoint: Dict[str, List] = {}
     for handle in scheduler.timeline():

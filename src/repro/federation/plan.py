@@ -26,10 +26,12 @@ planner/operator split, mirroring the ID-native design of
 * **Interpreter** (:class:`PlanInterpreter`) — one memoised walker with
   two modes.  *Serial* (no scheduler): every request charges
   ``elapsed_seconds`` in lockstep with ``busy_seconds``.  *Runtime*
-  (an :class:`~repro.runtime.scheduler.OverlapScheduler` attached):
-  requests are priced the same but recorded onto the scheduler's
-  dependency DAG and replayed into a makespan, so independent fan-outs,
-  batch waves and UNION branches overlap.
+  (a :class:`~repro.runtime.multi.TenantRecorder` attached — one
+  query's tenant of a :class:`~repro.runtime.multi.QueryScheduler`,
+  alone for ``parallel`` execution or beside other tenants under
+  ``execute_concurrent``): requests are priced the same but recorded
+  onto the scheduler's dependency DAG and replayed into a makespan, so
+  independent fan-outs, batch waves and UNION branches overlap.
 
 **Pipelined bound joins.**  Every produced row carries its *origin* —
 the recorded request that returned it.  Under ``streaming=True`` a
@@ -136,7 +138,7 @@ from repro.sparql.ast import OrderCondition
 from repro.sparql.plan import OrderKey
 from repro.gpq.evaluation import compile_conjunct, extend_id_bindings
 from repro.sparql.batch import extend_bindings_batch
-from repro.runtime.scheduler import RequestHandle, peak_overlap
+from repro.runtime.multi import RequestHandle, peak_overlap
 
 __all__ = [
     "BoundJoinStream",
@@ -200,8 +202,9 @@ class ExecContext:
         stats: the execution's accumulated statistics.
         cache: the execution-wide relation cache (shared across UNION
             branches and optional blocks).
-        scheduler: the runtime scheduler, or ``None`` for serial
-            interpretation (elapsed advances with busy).
+        scheduler: the query's :class:`~repro.runtime.multi.
+            TenantRecorder`, or ``None`` for serial interpretation
+            (elapsed advances with busy).
         streaming: pipelined bound-join batches (origin-scoped
             dependencies) vs PR 4's wave barriers.  Only meaningful
             with a scheduler attached.
@@ -446,22 +449,6 @@ class Rows:
 
     def __len__(self) -> int:
         return len(self.bindings)
-
-
-def _dedupe_rows(
-    bindings: List[IDBinding], origins: List[_Origin]
-) -> Tuple[List[IDBinding], List[_Origin]]:
-    """Row dedupe keeping first occurrences and their origins."""
-    seen: Set[Tuple[Tuple[str, int], ...]] = set()
-    out_b: List[IDBinding] = []
-    out_o: List[_Origin] = []
-    for binding, origin in zip(bindings, origins):
-        key = canonical(binding)
-        if key not in seen:
-            seen.add(key)
-            out_b.append(binding)
-            out_o.append(origin)
-    return out_b, out_o
 
 
 def _merge_origins(left: _Origin, right: _Origin) -> _Origin:

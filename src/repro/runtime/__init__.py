@@ -1,19 +1,19 @@
 """Deterministic discrete-event runtime for overlap-aware scheduling.
 
-The simulation layer beneath the federation stack's parallel execution
-mode:
+The simulation layer beneath the federation stack's runtime execution
+(the ``parallel`` strategy and multi-tenant execution):
 
 * :mod:`repro.runtime.kernel` — the event-queue/virtual-clock kernel;
 * :mod:`repro.runtime.channel` — per-endpoint request channels with
   configurable service concurrency and in-flight windows;
-* :mod:`repro.runtime.scheduler` — the two-phase overlap scheduler:
-  records a dependency DAG of priced requests during execution, then
-  replays it through the kernel into a makespan (``elapsed_seconds``),
-  the concurrency-aware counterpart of the network model's summed
-  ``busy_seconds``;
-* :mod:`repro.runtime.multi` — the multi-tenant query scheduler:
-  N queries' DAGs replayed through one shared kernel and one channel
-  per endpoint, with pluggable backlog fairness and admission control;
+* :mod:`repro.runtime.multi` — the query scheduler, the runtime's one
+  request-DAG replay: each query records a dependency DAG of priced
+  requests onto its tenant during execution, then every tenant's DAG
+  replays through one shared kernel and one channel per endpoint into
+  a makespan (``elapsed_seconds``), the concurrency-aware counterpart
+  of the network model's summed ``busy_seconds``.  A single query is
+  the one-tenant case; several tenants add pluggable backlog fairness
+  and admission control;
 * :mod:`repro.runtime.control` — AIMD adaptive concurrency control
   tuning per-channel in-flight windows and the bound-join batch size
   from live queueing delay and service-time variance.
@@ -34,11 +34,11 @@ from repro.runtime.control import (
     WindowAdjustment,
 )
 from repro.runtime.kernel import SimKernel
-from repro.runtime.multi import QueryScheduler, TenantRecorder
-from repro.runtime.scheduler import (
+from repro.runtime.multi import (
     DEFAULT_CONCURRENCY,
-    OverlapScheduler,
+    QueryScheduler,
     RequestHandle,
+    TenantRecorder,
 )
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "Channel",
     "ChannelStats",
     "FifoDiscipline",
-    "OverlapScheduler",
     "QueryScheduler",
     "QueueDiscipline",
     "Request",

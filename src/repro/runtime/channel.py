@@ -11,15 +11,17 @@ A :class:`Channel` models one endpoint's request pipe inside a
   once; requests beyond the window wait in a coordinator-side backlog
   and are only *sent* (admitted) when a slot frees.
 
-Admission from the backlog follows a pluggable :class:`QueueDiscipline`.
-The default :class:`FifoDiscipline` preserves arrival order, so with a
-single coordinator the window bounds queue depth and shifts per-request
-wait accounting without reordering completions.  Under *multi-tenant*
-contention (several coordinators recording onto one channel, PR 10's
-:class:`~repro.runtime.multi.QueryScheduler`) the discipline is the
-fairness policy: :class:`WeightedRoundRobinDiscipline` cycles admission
-across tenants with per-tenant weights, so one tenant's burst cannot
-starve the others, and per-tenant :class:`ChannelStats`
+Channels are built by :class:`~repro.runtime.multi.QueryScheduler`,
+the runtime's one request-DAG replay, one per endpoint.  Admission from
+the backlog follows a pluggable :class:`QueueDiscipline`.  The default
+:class:`FifoDiscipline` preserves arrival order, so with a single
+coordinator (a one-tenant replay) the window bounds queue depth and
+shifts per-request wait accounting without reordering completions.
+Under *multi-tenant* contention (several coordinators recording onto
+one channel) the discipline is the fairness policy:
+:class:`WeightedRoundRobinDiscipline` cycles admission across tenants
+with per-tenant weights, so one tenant's burst cannot starve the
+others, and per-tenant :class:`ChannelStats`
 (:attr:`Channel.tenant_stats`) make any residual starvation measurable.
 
 The window itself may be retuned mid-simulation via

@@ -1,11 +1,15 @@
 """Adaptive concurrency control: AIMD window and batch-size tuning.
 
-PR 4 gave the runtime fixed constructor knobs — a per-endpoint
-``max_in_flight`` window and a bound-join ``batch_size`` — and PR 9's
-:class:`~repro.runtime.channel.ChannelStats` started recording exactly
-the signals a controller needs to tune them: per-request queueing delay
+The federated executor has two fixed knobs — a per-endpoint
+``max_in_flight`` window and a bound-join ``batch_size`` — and
+:class:`~repro.runtime.channel.ChannelStats` records exactly the
+signals a controller needs to tune them: per-request queueing delay
 and service durations.  This module closes the loop, in the style of
-ANAPSID's adaptive request dispatch and TCP's AIMD congestion window:
+ANAPSID's adaptive request dispatch and TCP's AIMD congestion window.
+A controller attaches to one :class:`~repro.runtime.multi.QueryScheduler`
+replay, the runtime's only one; the executor attaches one when
+``execute_concurrent(adaptive=True)`` is asked for, and single-query
+execution (a one-tenant replay) runs with the fixed window:
 
 * :class:`AimdController` watches every completion on a channel (the
   :attr:`~repro.runtime.channel.Channel.observer` hook) and, once per

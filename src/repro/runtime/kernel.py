@@ -16,14 +16,15 @@ were scheduled — no wall clock, no randomness, reproducible across
 machines and Python versions.  Waiting is an event like any other:
 retry-backoff delays enter the simulation as later
 :meth:`SimKernel.schedule_at` arrival times (see
-:mod:`repro.runtime.scheduler`), so fault recovery needs no kernel
+:mod:`repro.runtime.multi`), so fault recovery needs no kernel
 support beyond the clock itself.
 
-One kernel may drive *many* concurrent queries: the multi-tenant
-scheduler (:mod:`repro.runtime.multi`) replays every tenant's request
-DAG through one shared kernel and one channel per endpoint, so
-coordinators genuinely contend on the same virtual clock.  The only
-kernel-level nicety that needs is :meth:`SimKernel.defer` — scheduling
+The kernel's one driver is the query scheduler
+(:mod:`repro.runtime.multi`).  It replays every tenant's request DAG
+through one shared kernel and one channel per endpoint — a single
+query is the one-tenant case — so concurrent coordinators genuinely
+contend on the same virtual clock.  The only kernel-level nicety
+multi-tenancy needs is :meth:`SimKernel.defer` — scheduling
 a follow-up at the *current* instant, ordered after every event already
 queued for that instant — which is how a query admitted the moment
 another finishes starts after the finisher's completion cascade has

@@ -1,15 +1,46 @@
-"""Multi-tenant concurrent query scheduling on one shared kernel.
+"""Request-DAG replay on one shared kernel: the runtime's scheduler.
 
-The :class:`~repro.runtime.scheduler.OverlapScheduler` replays exactly
-one query's request DAG per :class:`~repro.runtime.kernel.SimKernel`.
-A PDMS answers queries for *many* peers at once, so this module runs N
-prepared queries' DAGs through **one shared kernel and one channel per
-endpoint**: coordinators genuinely contend, per-endpoint queues
-interleave requests from different tenants under the same
-``concurrency``/``max_in_flight`` limits, and deterministic
-tie-breaking is preserved — arrival ties still break on global
-submission order, so the whole contention pattern is a pure function
-of the recorded DAGs.
+The federated executor discovers its requests *synchronously* — it
+evaluates a sub-query against a peer graph, learns the result size, and
+only then knows the request's wire duration.  Scheduling therefore runs
+in two phases:
+
+1. **Recording.**  During execution the executor calls
+   :meth:`TenantRecorder.submit` for every simulated request, naming
+   the endpoint, the priced duration, and the requests it depends on (a
+   bound-join wave depends on the wave that produced its input
+   bindings; independent per-endpoint fan-outs and UNION branches share
+   no dependencies).  Nothing is simulated yet — submissions only build
+   a dependency DAG.
+
+2. **Replay.**  :meth:`QueryScheduler.makespan` replays the DAG through
+   a :class:`~repro.runtime.kernel.SimKernel`: a request *arrives* at
+   its per-endpoint :class:`~repro.runtime.channel.Channel` once every
+   dependency has completed (never before its wave's release time), the
+   channel serves it under its concurrency/in-flight limits, and its
+   completion releases its dependents.  The final virtual clock is the
+   **elapsed** (makespan) seconds — what a wall clock would have shown
+   — as opposed to the **busy** seconds the network model accumulates
+   by summing durations.
+
+This is the runtime's only replay.  A single query is the one-tenant
+case: :meth:`FederatedExecutor.execute
+<repro.federation.executor.FederatedExecutor.execute>` records its
+``parallel`` plan onto one tenant and reads the aggregate makespan.  A
+PDMS answers queries for *many* peers at once, so
+:meth:`~repro.federation.executor.FederatedExecutor.execute_concurrent`
+records N prepared queries, one tenant each, and all of them replay
+through **one shared kernel and one channel per endpoint**:
+coordinators genuinely contend, and per-endpoint queues interleave
+requests from different tenants under the same
+``concurrency``/``max_in_flight`` limits.
+
+Replays are deterministic: arrival ties break on global submission
+order, so the makespan and the whole contention pattern are a pure
+function of the recorded DAGs.  Fault recovery records onto the same
+DAG — a failed attempt is a normal (charged) request, and its retry
+carries a ``delay`` equal to the backoff wait, so recovery time shows
+up in the makespan without any special-casing in the replay.
 
 Three layers of policy stack on the shared replay:
 
@@ -28,12 +59,11 @@ Three layers of policy stack on the shared replay:
   channel's in-flight window from live queueing delay and service-time
   variance as the replay progresses.
 
-Recording is unchanged: each tenant's executor records onto a
-:class:`TenantRecorder` exactly as it would onto an
-``OverlapScheduler`` — the recorder only tags handles with the tenant
-and forwards them to the shared DAG.  Because tenants record
-sequentially, a tenant's dependencies always point at its own earlier
-handles, and global submission indices remain topologically sorted.
+Each tenant records onto its :class:`TenantRecorder`, which tags
+handles with the tenant and forwards them to the shared DAG.  Because
+tenants record sequentially, a tenant's dependencies always point at
+its own earlier handles, and global submission indices remain
+topologically sorted.
 """
 
 from __future__ import annotations
@@ -51,9 +81,82 @@ from repro.runtime.channel import (
 )
 from repro.runtime.control import AimdController
 from repro.runtime.kernel import SimKernel
-from repro.runtime.scheduler import DEFAULT_CONCURRENCY, RequestHandle
 
-__all__ = ["QueryScheduler", "TenantRecorder"]
+__all__ = [
+    "DEFAULT_CONCURRENCY",
+    "QueryScheduler",
+    "RequestHandle",
+    "TenantRecorder",
+    "peak_overlap",
+]
+
+#: Default per-endpoint service concurrency (a small worker pool, the
+#: shape of a public SPARQL endpoint behind a connection limit).
+DEFAULT_CONCURRENCY = 4
+
+
+@dataclass
+class RequestHandle:
+    """One recorded request in the dependency DAG.
+
+    Attributes:
+        index: global submission order (also the determinism
+            tie-breaker).
+        endpoint: target channel name.
+        seconds: priced wire duration.
+        after: handles that must complete before this request is sent.
+        release: earliest virtual time the request may be sent,
+            relative to its tenant's activation.
+        delay: seconds between the last dependency's completion and
+            this request's arrival — a retry's backoff wait, priced
+            through the kernel so the makespan reflects it.
+        label: free-form trace tag.
+        failed: the attempt was answered with an injected fault; it
+            still occupies its channel for ``seconds`` (failures are
+            charged like real traffic).
+        tenant: the owning query's tenant name — every handle belongs
+            to exactly one :class:`TenantRecorder`.
+        arrived_at/started_at/completed_at: timeline, filled by the
+            replay (``-1`` before :meth:`QueryScheduler.makespan`).
+    """
+
+    index: int
+    endpoint: str
+    seconds: float
+    after: Tuple["RequestHandle", ...] = ()
+    release: float = 0.0
+    delay: float = 0.0
+    label: str = ""
+    failed: bool = False
+    tenant: str = ""
+    arrived_at: float = -1.0
+    started_at: float = -1.0
+    completed_at: float = -1.0
+
+
+def peak_overlap(handles: Sequence[RequestHandle]) -> int:
+    """Maximum number of the given requests simultaneously in service.
+
+    Reads the ``started_at``/``completed_at`` timelines filled by the
+    last replay (:meth:`QueryScheduler.makespan`); handles that never
+    replayed are ignored.  The federated plan layer uses this to report
+    how many of one operator's requests — e.g. the batches of a
+    pipelined bound join — actually overlapped.
+    """
+    events: List[Tuple[float, int]] = []
+    for handle in handles:
+        if handle.completed_at < 0:
+            continue
+        events.append((handle.started_at, 1))
+        events.append((handle.completed_at, -1))
+    # Completions sort before starts at the same instant: a request that
+    # ends exactly when another begins does not overlap it.
+    events.sort(key=lambda event: (event[0], event[1]))
+    peak = current = 0
+    for _, delta in events:
+        current += delta
+        peak = max(peak, current)
+    return peak
 
 
 @dataclass
@@ -68,13 +171,11 @@ class _Node:
 class TenantRecorder:
     """One tenant's recording facade over a shared :class:`QueryScheduler`.
 
-    Implements the same recording/reading surface the federated
-    executor uses on an ``OverlapScheduler`` — :meth:`submit`,
-    :meth:`makespan`, :meth:`channel_stats`, :meth:`timeline` — but
+    The federated executor records onto it through :meth:`submit`;
     every handle is tagged with the tenant and lands in the shared DAG.
-    ``makespan`` and ``channel_stats`` report the *tenant's* view of
-    the shared replay: its completion time (admission wait included)
-    and its share of each channel's statistics.
+    :meth:`makespan` and :meth:`channel_stats` report the *tenant's*
+    view of the shared replay: its completion time (admission wait
+    included) and its share of each channel's statistics.
     """
 
     def __init__(self, parent: "QueryScheduler", name: str, weight: int):
@@ -92,11 +193,38 @@ class TenantRecorder:
         delay: float = 0.0,
         failed: bool = False,
     ) -> RequestHandle:
-        """Record one request into the shared multi-tenant DAG."""
-        return self.parent._submit(
-            self.name, endpoint, seconds, after, release, label, delay,
-            failed,
+        """Record one request; returns its handle for dependency wiring.
+
+        ``delay`` postpones the request's arrival by that many seconds
+        after its dependencies complete (retry backoff); ``failed``
+        marks an injected-fault attempt, which still occupies its
+        channel like any other request.
+        """
+        if seconds < 0:
+            raise SimulationError(f"negative request duration: {seconds}")
+        if delay < 0:
+            raise SimulationError(f"negative request delay: {delay}")
+        for dep in after:
+            if dep.tenant != self.name:
+                raise SimulationError(
+                    f"tenant {self.name!r} may not depend on tenant "
+                    f"{dep.tenant!r}'s request {dep.index}"
+                )
+        handles = self.parent._handles
+        handle = RequestHandle(
+            index=len(handles),
+            endpoint=endpoint,
+            seconds=seconds,
+            after=tuple(after),
+            release=release,
+            delay=delay,
+            label=label,
+            failed=failed,
+            tenant=self.name,
         )
+        handles.append(handle)
+        self.parent._makespan = None  # DAG changed; replay again
+        return handle
 
     def makespan(self) -> float:
         """This tenant's completion time on the shared clock."""
@@ -106,24 +234,19 @@ class TenantRecorder:
         """This tenant's share of each channel's statistics."""
         return self.parent.tenant_channel_stats(self.name)
 
-    def timeline(self) -> List[RequestHandle]:
-        """This tenant's handles, in submission order."""
-        return [
-            handle
-            for handle in self.parent.timeline()
-            if handle.tenant == self.name
-        ]
-
 
 class QueryScheduler:
     """Replays N tenants' request DAGs through one shared kernel.
+
+    A single query is the one-tenant case: register one tenant, record
+    onto it, and read the aggregate :meth:`makespan`,
+    :meth:`channel_stats` and :meth:`timeline`.
 
     Args:
         concurrency: service lanes per endpoint channel.
         max_in_flight: per-endpoint outstanding-request window
             (``None`` = unbounded; the controller overrides this with
             its adaptive start window when attached).
-        per_endpoint_concurrency: optional per-endpoint lane overrides.
         discipline: backlog admission policy — ``"fifo"`` or ``"wrr"``
             (weighted round-robin across tenants, weights from
             :meth:`tenant` registration).
@@ -137,7 +260,6 @@ class QueryScheduler:
         self,
         concurrency: int = DEFAULT_CONCURRENCY,
         max_in_flight: Optional[int] = None,
-        per_endpoint_concurrency: Optional[Dict[str, int]] = None,
         discipline: str = "fifo",
         max_active: Optional[int] = None,
         controller: Optional[AimdController] = None,
@@ -147,6 +269,8 @@ class QueryScheduler:
                 f"scheduler concurrency must be >= 1: {concurrency}"
             )
         if max_in_flight is not None and max_in_flight < concurrency:
+            # Fail here, not during the replay after a whole execution
+            # has already been recorded against the DAG.
             raise SimulationError(
                 f"max_in_flight ({max_in_flight}) below concurrency "
                 f"({concurrency}) would waste service lanes"
@@ -157,7 +281,6 @@ class QueryScheduler:
             )
         self.concurrency = concurrency
         self.max_in_flight = max_in_flight
-        self.per_endpoint_concurrency = dict(per_endpoint_concurrency or {})
         self.discipline = discipline
         self.max_active = max_active
         self.controller = controller
@@ -199,42 +322,6 @@ class QueryScheduler:
         self._weights[name] = weight
         return recorder
 
-    def _submit(
-        self,
-        tenant: str,
-        endpoint: str,
-        seconds: float,
-        after: Sequence[RequestHandle],
-        release: float,
-        label: str,
-        delay: float,
-        failed: bool,
-    ) -> RequestHandle:
-        if seconds < 0:
-            raise SimulationError(f"negative request duration: {seconds}")
-        if delay < 0:
-            raise SimulationError(f"negative request delay: {delay}")
-        for dep in after:
-            if dep.tenant != tenant:
-                raise SimulationError(
-                    f"tenant {tenant!r} may not depend on tenant "
-                    f"{dep.tenant!r}'s request {dep.index}"
-                )
-        handle = RequestHandle(
-            index=len(self._handles),
-            endpoint=endpoint,
-            seconds=seconds,
-            after=tuple(after),
-            release=release,
-            delay=delay,
-            label=label,
-            failed=failed,
-            tenant=tenant,
-        )
-        self._handles.append(handle)
-        self._makespan = None  # DAG changed; replay again
-        return handle
-
     # -- results --------------------------------------------------------
 
     def makespan(self) -> float:
@@ -245,10 +332,6 @@ class QueryScheduler:
         if self._makespan is None:
             self._makespan = self._replay()
         return self._makespan
-
-    def run(self) -> float:
-        """Alias for :meth:`makespan` — replay and return the elapsed."""
-        return self.makespan()
 
     def busy_seconds(self) -> float:
         """Summed request durations across every tenant."""
@@ -320,18 +403,15 @@ class QueryScheduler:
         def channel_for(name: str) -> Channel:
             channel = channels.get(name)
             if channel is None:
-                lanes = self.per_endpoint_concurrency.get(
-                    name, self.concurrency
-                )
                 window = self.max_in_flight
                 observer = None
                 if controller is not None:
-                    window = controller.initial_window(lanes)
+                    window = controller.initial_window(self.concurrency)
                     observer = controller.observe
                 channel = Channel(
                     kernel,
                     name,
-                    concurrency=lanes,
+                    concurrency=self.concurrency,
                     max_in_flight=window,
                     discipline=make_discipline(
                         self.discipline, self._weights

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FederationError, SimulationError
+from repro.federation import RetryPolicy
 from repro.federation.executor import FederatedExecutor
 from repro.federation.network import NetworkModel
 from repro.obs import Tracer, chrome_trace_events, validate_trace_events
@@ -24,6 +25,13 @@ from repro.workload import (
     skewed_tenant_workload,
     tenant_workload,
 )
+from repro.workload.federation import (
+    federated_limit_sparql,
+    federated_optional_sparql,
+    federated_path_query,
+    federated_union_filter_sparql,
+    flaky_fault_model,
+)
 
 BOUND_CONTROL = AimdSettings(epoch=3, start_window=2, max_window=16)
 
@@ -31,6 +39,20 @@ BOUND_CONTROL = AimdSettings(epoch=3, start_window=2, max_window=16)
 @pytest.fixture(scope="module")
 def system():
     return federated_rps(peers=3, entities=20, facts=120, seed=7)
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """Every query :meth:`FederatedExecutor._normalize` sees, in order."""
+    calls = []
+    original = FederatedExecutor._normalize
+
+    def counting(self, query, nsm):
+        calls.append(query)
+        return original(self, query, nsm)
+
+    monkeypatch.setattr(FederatedExecutor, "_normalize", counting)
+    return calls
 
 
 def make_executor(system):
@@ -243,7 +265,7 @@ def test_query_scheduler_contends_on_shared_channels():
     alice.submit("ep", 2.0)
     bob.submit("ep", 1.0)
     # One lane: alice (registered first) serves 0-2, bob 2-3.
-    assert scheduler.run() == 3.0
+    assert scheduler.makespan() == 3.0
     assert alice.makespan() == 2.0
     assert bob.makespan() == 3.0
     stats = scheduler.channel_stats()["ep"]
@@ -257,7 +279,7 @@ def test_admission_cap_staggers_queries():
     bob = scheduler.tenant("bob")
     alice.submit("ep", 2.0)
     bob.submit("ep", 1.0)
-    assert scheduler.run() == 3.0
+    assert scheduler.makespan() == 3.0
     assert scheduler.active_peak == 1
     assert scheduler.admission_wait("alice") == 0.0
     # Bob only activates when alice's last request completes.
@@ -348,6 +370,98 @@ def test_concurrent_rejects_bad_inputs(system):
     assert result.tenant("a").tenant == "a"
 
 
+def test_concurrent_rejects_duplicate_tenant_before_preparing(
+    system, normalize_calls
+):
+    executor = make_executor(system)
+    query = federated_selective_query(entity=1, hops=2)
+    other = federated_selective_query(entity=2, hops=2)
+    with pytest.raises(FederationError, match="duplicate tenant"):
+        executor.execute_concurrent([("a", query), ("a", other)])
+    assert normalize_calls == []
+
+
+def test_concurrent_rejects_bad_weights(system, normalize_calls):
+    executor = make_executor(system)
+    query = federated_selective_query(entity=1, hops=2)
+    tenants = {"a": query, "b": query}
+    for weights in ({"zz": 1}, {"zz": 0}, {"a": 0}, {"b": -2}, {"a": 1.5}):
+        with pytest.raises(FederationError, match="weight"):
+            executor.execute_concurrent(
+                tenants, discipline="wrr", weights=weights
+            )
+    assert normalize_calls == []
+    result = executor.execute_concurrent(
+        tenants, strategy="bound", discipline="wrr", weights={"a": 3}
+    )
+    assert [o.tenant for o in result.outcomes] == ["a", "b"]
+
+
+def _solo_executors(system):
+    """Executor factories the single-query fold must agree on."""
+    network = NetworkModel(
+        latency_seconds=0.01,
+        per_solution_seconds=0.01,
+        per_triple_seconds=0.05,
+    )
+    return {
+        "default": lambda: FederatedExecutor(system),
+        "deep": lambda: FederatedExecutor(
+            system, network, batch_size=1, concurrency=4
+        ),
+        "windowed": lambda: FederatedExecutor(
+            system, network, batch_size=2, concurrency=2, max_in_flight=3
+        ),
+        "flaky": lambda: FederatedExecutor(
+            system,
+            fault_model=flaky_fault_model(
+                "peer1", failure_rate=0.3, timeout_rate=0.1, seed=15
+            ),
+            retry_policy=RetryPolicy(max_retries=8),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        federated_path_query(hops=2),
+        federated_optional_sparql(),
+        federated_union_filter_sparql(),
+        federated_limit_sparql(hops=3, limit=5, anchor=1),
+        federated_selective_query(entity=3, hops=3),
+    ],
+    ids=["path", "optional", "union", "limit", "bound_join"],
+)
+def test_parallel_execute_is_the_one_tenant_concurrent_case(system, query):
+    """A parallel execute() and a one-tenant execute_concurrent() run the
+    same replay, so they agree on answers and every accounted number."""
+    for label, build in _solo_executors(system).items():
+        solo = build().execute(query, "parallel")
+        tenant = (
+            build()
+            .execute_concurrent([("solo", query)], strategy="parallel")
+            .tenant("solo")
+            .result
+        )
+        assert tenant.rows == solo.rows, label
+        assert tenant.partial == solo.partial, label
+        assert tenant.stats.messages == solo.stats.messages, label
+        assert tenant.stats.busy_seconds == solo.stats.busy_seconds, label
+        assert (
+            tenant.stats.elapsed_seconds == solo.stats.elapsed_seconds
+        ), label
+        assert tenant.stats.retries == solo.stats.retries, label
+        assert sorted(tenant.channels) == sorted(solo.channels), label
+        for name, stats in solo.channels.items():
+            other = tenant.channels[name]
+            assert other.completed == stats.completed, (label, name)
+            assert other.busy_seconds == stats.busy_seconds, (label, name)
+            assert other.wait_seconds == stats.wait_seconds, (label, name)
+        if label == "flaky":
+            assert solo.stats.retries > 0  # the faults really fired
+
+
 def test_admission_cap_through_executor(system):
     workload = tenant_workload(3, seed=11)
     result = make_executor(system).execute_concurrent(
@@ -400,31 +514,23 @@ def test_concurrent_metrics_registry(system):
     assert "channel.peer1.queueing_delay" in text
 
 
-def test_prepared_plan_reused_across_tenants(system, monkeypatch):
+def test_prepared_plan_reused_across_tenants(system, normalize_calls):
     """Satellite: one normalisation per distinct query, however many
     tenants submit it."""
-    calls = []
-    original = FederatedExecutor._normalize
-
-    def counting(self, query, nsm):
-        calls.append(query)
-        return original(self, query, nsm)
-
-    monkeypatch.setattr(FederatedExecutor, "_normalize", counting)
     executor = make_executor(system)
     query = federated_selective_query(entity=1, hops=2)
     result = executor.execute_concurrent(
         {"a": query, "b": query, "c": query}, strategy="bound"
     )
     assert len(result.outcomes) == 3
-    assert len(calls) == 1
+    assert len(normalize_calls) == 1
     # A pre-prepared query skips normalisation entirely.
     prepared = executor.prepare(query)
-    calls.clear()
+    normalize_calls.clear()
     executor.execute_concurrent(
         [("a", prepared), ("b", prepared)], strategy="bound"
     )
-    assert calls == []
+    assert normalize_calls == []
 
 
 # ---------------------------------------------------------------------------

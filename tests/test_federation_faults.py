@@ -16,7 +16,7 @@ from repro.federation import (
     FederatedExecutor,
     RetryPolicy,
 )
-from repro.runtime import OverlapScheduler
+from repro.runtime import QueryScheduler
 from repro.workload.federation import (
     blackout_fault_model,
     federated_path_query,
@@ -125,21 +125,23 @@ def test_endpoint_unavailable_error_carries_context():
 
 
 def test_scheduler_delay_postpones_arrival():
-    scheduler = OverlapScheduler()
-    first = scheduler.submit("p0", 1.0)
-    retried = scheduler.submit("p0", 1.0, after=[first], delay=2.0)
+    scheduler = QueryScheduler()
+    query = scheduler.tenant("solo")
+    first = query.submit("p0", 1.0)
+    retried = query.submit("p0", 1.0, after=[first], delay=2.0)
     assert scheduler.makespan() == pytest.approx(4.0)
     assert scheduler.timeline()[retried.index].arrived_at == pytest.approx(
         3.0
     )
     with pytest.raises(SimulationError, match="delay"):
-        scheduler.submit("p0", 1.0, delay=-0.5)
+        query.submit("p0", 1.0, delay=-0.5)
 
 
 def test_channel_counts_failed_attempts():
-    scheduler = OverlapScheduler()
-    scheduler.submit("p0", 0.5, failed=True)
-    scheduler.submit("p0", 1.0)
+    scheduler = QueryScheduler()
+    query = scheduler.tenant("solo")
+    query.submit("p0", 0.5, failed=True)
+    query.submit("p0", 1.0)
     stats = scheduler.channel_stats()["p0"]
     assert stats.completed == 2
     assert stats.failed == 1

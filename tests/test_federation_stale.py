@@ -21,6 +21,7 @@ from repro.workload.federation import (
     federated_path_query,
     federated_rps,
     federated_selective_query,
+    federated_union_filter_sparql,
     grow_knows_relation,
 )
 from repro.workload.topologies import peer_namespace
@@ -213,3 +214,24 @@ def test_refreshes_are_real_messages_per_endpoint():
             charged.stats.per_endpoint_messages[endpoint]
             == baseline.stats.per_endpoint_messages.get(endpoint, 0) + 1
         )
+
+
+def test_invalidate_plans_forces_a_plan_cache_miss():
+    executor = FederatedExecutor(
+        federated_rps(peers=3, entities=20, facts=60, seed=7)
+    )
+    text = federated_union_filter_sparql()
+    before = executor.execute(text, "parallel")
+    cached = executor.prepare(text)
+    stats = executor.plan_cache.stats()
+    assert stats["hits"] == 1 and stats["misses"] == 1
+    epoch = executor.catalog.statistics_epoch
+    executor.catalog.invalidate_plans()
+    assert executor.catalog.statistics_epoch == epoch + 1
+    rebuilt = executor.prepare(text)
+    assert rebuilt is not cached
+    assert executor.plan_cache.stats()["misses"] == stats["misses"] + 1
+    assert executor.plan_cache.stats()["hits"] == stats["hits"]
+    after = executor.execute(text, "parallel")
+    assert after.rows == before.rows
+    assert after.stats.messages == before.stats.messages

@@ -5,7 +5,7 @@ tentpole promises: tracing is inert when disabled (no actuals dicts on
 untraced plans, no-op hooks), wall spans wrap the local engine's
 phases, virtual spans mirror the federation's simulated requests and
 the runtime's replayed channel intervals (nesting exactly as the
-overlap scheduler's DAG replay scheduled them), and every enabled
+query scheduler's DAG replay scheduled them), and every enabled
 output — the virtual-domain ``trace_event`` export and
 ``explain(analyze=True)`` — is byte-identical across repeated seeded
 runs, in serial and runtime mode, with and without fault injection.

@@ -1,11 +1,11 @@
-"""Discrete-event runtime: kernel, channels, overlap scheduler."""
+"""Discrete-event runtime: kernel, channels, one-tenant DAG replay."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.runtime import (
     Channel,
-    OverlapScheduler,
+    QueryScheduler,
     Request,
     SimKernel,
 )
@@ -115,23 +115,29 @@ def test_channel_validation():
 
 
 # ---------------------------------------------------------------------------
-# Overlap scheduler
+# One-tenant replay: a single query's request DAG on QueryScheduler
 # ---------------------------------------------------------------------------
 
 
+def _solo(**kwargs):
+    """A scheduler with one registered tenant, the single-query case."""
+    scheduler = QueryScheduler(**kwargs)
+    return scheduler, scheduler.tenant("solo")
+
+
 def test_independent_requests_overlap():
-    scheduler = OverlapScheduler(concurrency=2)
-    scheduler.submit("p0", 1.0)
-    scheduler.submit("p1", 2.0)
+    scheduler, query = _solo(concurrency=2)
+    query.submit("p0", 1.0)
+    query.submit("p1", 2.0)
     assert scheduler.makespan() == 2.0
     assert scheduler.busy_seconds() == 3.0
 
 
 def test_dependency_chain_serialises():
-    scheduler = OverlapScheduler()
-    first = scheduler.submit("p0", 1.0)
-    second = scheduler.submit("p1", 2.0, after=[first])
-    third = scheduler.submit("p0", 0.5, after=[second])
+    scheduler, query = _solo()
+    first = query.submit("p0", 1.0)
+    second = query.submit("p1", 2.0, after=[first])
+    third = query.submit("p0", 0.5, after=[second])
     assert scheduler.makespan() == 3.5
     timeline = scheduler.timeline()
     assert [h.completed_at for h in timeline] == [1.0, 3.0, 3.5]
@@ -139,17 +145,17 @@ def test_dependency_chain_serialises():
 
 def test_fan_out_then_join():
     # A wave of three requests, then one request gated on all of them.
-    scheduler = OverlapScheduler(concurrency=4)
-    wave = [scheduler.submit(f"p{i}", 1.0 + i) for i in range(3)]
-    joined = scheduler.submit("p0", 1.0, after=wave)
+    scheduler, query = _solo(concurrency=4)
+    wave = [query.submit(f"p{i}", 1.0 + i) for i in range(3)]
+    joined = query.submit("p0", 1.0, after=wave)
     assert scheduler.makespan() == 4.0  # slowest dep (3.0) + 1.0
     assert scheduler.timeline()[joined.index].started_at == 3.0
 
 
 def test_channel_contention_limits_overlap():
-    scheduler = OverlapScheduler(concurrency=1)
+    scheduler, query = _solo(concurrency=1)
     for _ in range(4):
-        scheduler.submit("p0", 1.0)
+        query.submit("p0", 1.0)
     assert scheduler.makespan() == 4.0
     stats = scheduler.channel_stats()["p0"]
     assert stats.completed == 4
@@ -157,40 +163,43 @@ def test_channel_contention_limits_overlap():
 
 
 def test_release_time_delays_arrival():
-    scheduler = OverlapScheduler()
-    handle = scheduler.submit("p0", 1.0, release=5.0)
+    scheduler, query = _solo()
+    handle = query.submit("p0", 1.0, release=5.0)
     assert scheduler.makespan() == 6.0
     assert scheduler.timeline()[handle.index].arrived_at == 5.0
 
 
 def test_replay_is_deterministic_and_cached():
     def build():
-        scheduler = OverlapScheduler(concurrency=2)
-        wave = [scheduler.submit("p0", 0.25) for _ in range(5)]
-        scheduler.submit("p1", 1.0, after=wave[:2])
-        scheduler.submit("p1", 1.0, after=wave)
-        return scheduler
+        scheduler, query = _solo(concurrency=2)
+        wave = [query.submit("p0", 0.25) for _ in range(5)]
+        query.submit("p1", 1.0, after=wave[:2])
+        query.submit("p1", 1.0, after=wave)
+        return scheduler, query
 
-    first, second = build(), build()
-    assert first.makespan() == second.makespan()
-    assert first.makespan() is not None
-    # Cached until the DAG changes; a new submit invalidates.
-    before = first.makespan()
-    first.submit("p2", 10.0)
-    assert first.makespan() == before + 10.0 or first.makespan() >= 10.0
+    (first, query), (second, _) = build(), build()
+    assert first.makespan() == second.makespan() == 1.75
+    assert [h.completed_at for h in first.timeline()] == [
+        h.completed_at for h in second.timeline()
+    ]
+    # Cached until the DAG changes; a new submit invalidates.  The p2
+    # request has no dependencies and a fresh channel, so it runs from
+    # t=0 and alone sets the makespan.
+    query.submit("p2", 10.0)
+    assert first.makespan() == 10.0
 
 
 def test_makespan_never_exceeds_busy_seconds():
-    scheduler = OverlapScheduler(concurrency=3)
+    scheduler, query = _solo(concurrency=3)
     previous = []
     for i in range(7):
-        previous = [scheduler.submit(f"p{i % 2}", 0.5, after=previous[-1:])]
+        previous = [query.submit(f"p{i % 2}", 0.5, after=previous[-1:])]
     assert scheduler.makespan() <= scheduler.busy_seconds() + 1e-12
 
 
 def test_scheduler_validation():
     with pytest.raises(SimulationError, match="concurrency"):
-        OverlapScheduler(concurrency=0)
-    scheduler = OverlapScheduler()
+        QueryScheduler(concurrency=0)
+    scheduler, query = _solo()
     with pytest.raises(SimulationError, match="negative"):
-        scheduler.submit("p0", -1.0)
+        query.submit("p0", -1.0)
