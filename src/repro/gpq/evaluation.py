@@ -41,6 +41,7 @@ __all__ = [
     "match_pattern_bindings",
     "compile_conjunct",
     "extend_id_bindings",
+    "ask_ids",
 ]
 
 #: A compiled conjunct position: an integer ID or a still-free Variable.
@@ -268,18 +269,23 @@ def ask(graph: Graph, query: GraphPatternQuery, optimize: bool = True) -> bool:
         if slots is None:
             return False
         compiled.append(slots)
-    return _ask_rec(graph, compiled, 0, {})
+    return ask_ids(graph, compiled, {})
 
 
-def _ask_rec(
+def ask_ids(
     graph: Graph,
-    compiled: List[Tuple[_Slot, _Slot, _Slot]],
-    index: int,
+    compiled: Sequence[Tuple[_Slot, _Slot, _Slot]],
     partial: _IDBinding,
+    index: int = 0,
 ) -> bool:
+    """Does some match of ``compiled[index:]`` extend ``partial``?
+
+    The ID-level core of :func:`ask`; ``partial`` pre-binds variables
+    (e.g. a query head) to term IDs.  Short-circuits on the first match.
+    """
     if index == len(compiled):
         return True
     for extended in extend_id_bindings(graph, compiled[index], partial):
-        if _ask_rec(graph, compiled, index + 1, extended):
+        if ask_ids(graph, compiled, extended, index + 1):
             return True
     return False

@@ -19,7 +19,12 @@ from repro.rdf.graph import Graph
 from repro.rdf.namespaces import FOAF_NS, Namespace, OWL_SAME_AS
 from repro.rdf.terms import Literal, Variable
 from repro.rdf.triples import Triple
-from repro.peers.mappings import GraphMappingAssertion
+from repro.peers.mappings import (
+    GraphMappingAssertion,
+    equivalences_from_sameas,
+)
+from repro.peers.peer import Peer
+from repro.peers.schema import PeerSchema
 from repro.peers.system import RPS
 
 __all__ = ["VCARD", "SOCIAL", "people_rps", "friend_of_friend_assertion"]
@@ -73,6 +78,11 @@ def people_rps(
     * optional friend-of-friend assertion (join-shaped, non-sticky);
     * sameAs links vcard:personN ≡ foaf:agentN ≡ social:userN for a
       ``linked_fraction`` of people.
+
+    The vcard and foaf schemas are inferred from their data.  The
+    social schema also holds ``social:knows`` and ``social:reachable``,
+    which the friend-of-friend assertion uses even when no stored
+    triple does.
     """
     rng = random.Random(seed)
     vcard_graph = Graph(name="vcard")
@@ -121,8 +131,13 @@ def people_rps(
     assertions: List[GraphMappingAssertion] = [name_translation]
     if include_fof:
         assertions.append(friend_of_friend_assertion())
-    return RPS.from_graphs(
-        {"vcard": vcard_graph, "foaf": foaf_graph, "social": social_graph},
-        assertions=assertions,
-        harvest_sameas=True,
+    social_schema = PeerSchema(
+        "social", social_graph.iris() | {SOCIAL.knows, SOCIAL.reachable}
     )
+    peers = [
+        Peer.from_graph("vcard", vcard_graph),
+        Peer.from_graph("foaf", foaf_graph),
+        Peer(social_schema, social_graph, validate=False),
+    ]
+    graphs = (vcard_graph, foaf_graph, social_graph)
+    return RPS(peers, assertions, equivalences_from_sameas(graphs))
